@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 
 from .boundary import BoundaryClassification, BoundaryPair, classify
-from .errors import RegimeViolation
+from .errors import NumericalSingularity, RegimeViolation
 from .potentials import MatrixPotential, faddeev_moment, split
 from .resolvent import branch_sqrt, free_jost_entry, free_regular_entry
 
@@ -59,8 +59,13 @@ def bargmann_bound(pair: BoundaryPair, V: MatrixPotential,
             vminus = split(V, x)[1]
             return float(np.trace(vminus @ (x * np.eye(cls.n) - W)).real)
 
-        integral, _ = quad(integrand, lo, hi, epsrel=rel_tol, limit=200)
-        integral = max(0.0, float(integral))
+        integral, abserr = quad(integrand, lo, hi, epsrel=rel_tol, limit=200)
+        # V₋ ⪰ 0 and xI - W ⪰ 0, so the integrand is >= 0 pointwise
+        if integral < -abserr:
+            raise NumericalSingularity(
+                f"bound integral {integral:.3e} is negative beyond its "
+                f"quadrature error {abserr:.1e}")
+        integral = float(integral)
 
     total = cls.n_Mb + cls.n_N + integral
     return BoundResult(

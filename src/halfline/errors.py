@@ -18,7 +18,11 @@ class Degenerate(HalflineError, ValueError):
 
 
 class NumericalSingularity(HalflineError, ArithmeticError):
-    """A linear solve failed on input that passed validation."""
+    """A computation on validated input failed or broke an invariant the maths guarantees.
+
+    Raised for a singular linear solve, a count that falls along a nested
+    mesh ladder, and a negative Bargmann bound integral.
+    """
 
 
 class AngleOutOfRange(HalflineError, ValueError):

@@ -10,8 +10,22 @@ counts come from the inertia of K - E·Mass through a block-tridiagonal
 LDL† recursion (Sylvester's law); eigenvalue estimates, when requested,
 from inertia bisection (spectrum slicing) over the negative part.
 
+Beyond the potential's reach the blocks of K - E·Mass are a·I on the
+diagonal and b·I off it, so the Dirichlet-truncated tail is a constant
+tridiagonal Toeplitz matrix.  For E <= 0 it is positive definite and
+its Schur complement onto the last node the potential touches is
+b²/d_T·I, with d_T the Chebyshev ratio |b|·sinh((T+1)t)/sinh(Tt),
+cosh t = a/2|b| (a discrete transparent boundary condition).  The
+inertia count eliminates the tail in that closed form and runs the LDL
+recursion only over the nodes before it, so it costs O(support/h), not
+O(L/h).  The truncation at L is unchanged: L remains a finite Dirichlet
+cut, the matrix whose inertia is counted is the same as for a sweep
+over every node (so, by Sylvester's law, is the count), and
+EPS_NEAR_ZERO keeps its meaning.
+
 Because P1 elements form a subspace of the form domain, discrete counts
-never exceed the true count; refinement only adds states.
+never exceed the true count; refinement only adds states.  Along a
+nested mesh ladder a count that falls is therefore reported as a fault.
 """
 
 import numpy as np
@@ -71,7 +85,9 @@ class FormMatrices:
     Free nodes are 0..m-1 (node m is clamped); at node 0 only the
     channels in `keep0` (non-Dirichlet, in the rotated frame) are kept.
     `diag[i]`/`off[i]` are the n×n stiffness blocks, the mass is the
-    scalar P1 pattern times the identity in channel space.
+    scalar P1 pattern times the identity in channel space.  From node
+    `tail_start` on, every block and every coupling into it has the
+    potential-free pattern.
     """
 
     n: int
@@ -84,25 +100,11 @@ class FormMatrices:
     mass_off: np.ndarray
     classification: BoundaryClassification
     potential_scale: float
+    tail_start: int
 
     @property
     def n_dof(self) -> int:
         return int(len(self.keep0)) + self.n * (self.m - 1)
-
-    def shifted_blocks(self, E: float):
-        """Diagonal and off-diagonal blocks of K - E·Mass, node 0 reduced."""
-        keep = self.keep0
-        d0 = (self.diag[0] - E * self.mass_diag[0] * np.eye(self.n))[np.ix_(keep, keep)]
-        o0 = (self.off[0] - E * self.mass_off[0] * np.eye(self.n))[keep, :]
-        diags = [d0] + [
-            self.diag[i] - E * self.mass_diag[i] * np.eye(self.n)
-            for i in range(1, self.m)
-        ]
-        offs = [o0] + [
-            self.off[i] - E * self.mass_off[i] * np.eye(self.n)
-            for i in range(1, self.m - 1)
-        ]
-        return diags, offs
 
     def to_sparse(self):
         """(K, Mass) as CSR matrices over the free DOFs."""
@@ -212,15 +214,17 @@ def assemble_form_matrix(pair: BoundaryPair, V: MatrixPotential,
         raise RegimeViolation(f"potential dimension {V.n} != pair dimension {n}")
 
     eye = np.eye(n)
+    diag_free, off_free = (2.0 / h) * eye, (-1.0 / h) * eye
+    mass_diag_free, mass_off_free = 2 * h / 3, h / 6
     diag = np.empty((m, n, n), dtype=complex)
     off = np.empty((m - 1, n, n), dtype=complex)
-    diag[:] = (2.0 / h) * eye
+    diag[:] = diag_free
     diag[0] = (1.0 / h) * eye - np.diag(cls.Theta)
-    off[:] = (-1.0 / h) * eye
+    off[:] = off_free
 
-    mass_diag = np.full(m, 2 * h / 3)
+    mass_diag = np.full(m, mass_diag_free)
     mass_diag[0] = h / 3
-    mass_off = np.full(m - 1, h / 6)
+    mass_off = np.full(m - 1, mass_off_free)
     row_sums = np.zeros(m)
     row_sums[:-1] += np.abs(mass_off)
     row_sums[1:] += np.abs(mass_off)
@@ -231,6 +235,15 @@ def assemble_form_matrix(pair: BoundaryPair, V: MatrixPotential,
     diag[:m] += LL
     diag[1:m] += RR[: m - 1]
     off[: m - 1] += LR[: m - 1]
+
+    # the tail starts after the last node whose block, or whose coupling to
+    # the next node, differs from the free pattern; node 0 never belongs to it
+    odd_node = (np.any(diag != diag_free, axis=(1, 2))
+                | (mass_diag != mass_diag_free))
+    odd_link = (np.any(off != off_free, axis=(1, 2))
+                | (mass_off != mass_off_free))
+    last_odd = np.concatenate(([0], np.flatnonzero(odd_node),
+                               np.flatnonzero(odd_link) + 1)).max()
 
     keep0 = np.nonzero(cls.thetas != np.pi)[0]
     pot_scale = float(np.linalg.norm(LL, axis=(1, 2)).max()) / (h / 2)
@@ -245,6 +258,7 @@ def assemble_form_matrix(pair: BoundaryPair, V: MatrixPotential,
         mass_off=mass_off,
         classification=cls,
         potential_scale=pot_scale,
+        tail_start=int(last_odd) + 1,
     )
 
 
@@ -254,6 +268,8 @@ def _inertia_blocks(diags, offs) -> int:
     Block LDL†: D_{i+1} = A_{i+1} - B_i† D_i^{-1} B_i; by congruence the
     matrix inertia is the sum of the block inertias.
     """
+    if not len(diags):
+        return 0
     count = 0
     D = np.array(diags[0])
     for i in range(len(diags)):
@@ -268,14 +284,14 @@ def _inertia_blocks(diags, offs) -> int:
                 X = np.linalg.solve(D, B)
             except np.linalg.LinAlgError as exc:
                 raise NumericalSingularity("LDL pivot block singular") from exc
-            D = np.array(diags[i + 1]) - B.conj().T @ X
+            D = diags[i + 1] - B.conj().T @ X
     return count
 
 
-def _inertia_scalar(kd, ko, md, mo, E: float) -> int:
-    """Fast Sturm recursion for n = 1 (plain float loop)."""
-    d = (kd - E * md).real.tolist()
-    o = (ko - E * mo).real.tolist()
+def _inertia_scalar(d, o) -> int:
+    """Fast Sturm recursion for n = 1 (plain float loop over lists)."""
+    if not d:
+        return 0
     count = 0
     prev = d[0]
     if prev < 0:
@@ -292,23 +308,63 @@ def _inertia_scalar(kd, ko, md, mo, E: float) -> int:
     return count
 
 
+def _tail_schur(h: float, E: float, T: int) -> float | None:
+    """Schur complement b²/d_T of the T-node free tail onto the node before it.
+
+    The tail is the T×T tridiagonal Toeplitz matrix with a = 2/h - (2h/3)E
+    on the diagonal and b = -1/h - (h/6)E off it, times I in channel
+    space.  For E <= 0 it is positive definite (its eigenvalues are
+    a + 2|b|cos(kπ/(T+1)) >= a - 2|b| >= 0 with a strict first inequality),
+    so it adds no negative pivot, and its last backward LDL pivot is
+    d_T = |b|·sinh((T+1)t)/sinh(Tt) with cosh t = a/2|b|.  Returns None
+    when E > 0, where the tail is indefinite.
+    """
+    b = -1.0 / h - (h / 6) * E
+    if T == 0 or b == 0.0:
+        return 0.0
+    # a - 2|b| in closed form, free of the cancellation between a and 2|b| near E = 0
+    gap = -h * E if b < 0 else 4.0 / h - (h / 3) * E
+    delta = gap / (2 * abs(b))
+    if delta < 0:
+        return None
+    t = np.log1p(delta + np.sqrt(delta * (delta + 2.0)))
+    if t == 0.0:
+        ratio = (T + 1) / T
+    else:
+        ratio = np.exp(t) * np.expm1(-2 * (T + 1) * t) / np.expm1(-2 * T * t)
+    return abs(b) / ratio
+
+
+def _inertia_condensed(fm: FormMatrices, E: float) -> int:
+    """Inertia count with the free tail eliminated in closed form."""
+    n, keep = fm.n, fm.keep0
+    j0 = fm.tail_start
+    s = _tail_schur(fm.disc.h, E, fm.m - j0)
+    if s is None:
+        # indefinite tail (E > 0): sweep every node
+        j0, s = fm.m, 0.0
+    eye = np.eye(n)
+    diags = fm.diag[:j0] - E * fm.mass_diag[:j0, None, None] * eye
+    offs = fm.off[:j0 - 1] - E * fm.mass_off[:j0 - 1, None, None] * eye
+    diags[-1] -= s * eye
+    if len(keep) == 0:
+        # every channel Dirichlet: node 0 carries no DOF
+        diags, offs = diags[1:], offs[1:]
+    elif len(keep) < n:
+        diags = [diags[0][np.ix_(keep, keep)], *diags[1:]]
+        offs = [offs[0][keep, :], *offs[1:]] if len(offs) else offs
+    if n == 1:
+        return _inertia_scalar(diags[:, 0, 0].real.tolist(),
+                               offs[:, 0, 0].real.tolist())
+    return _inertia_blocks(diags, offs)
+
+
 def inertia_below(fm: FormMatrices, E: float) -> int:
     """Number of generalized eigenvalues of (K, Mass) below E."""
     shift = 0.0
     for attempt in range(4):
         try:
-            if fm.n == 1 and len(fm.keep0) == 1:
-                kd = fm.diag[:, 0, 0]
-                ko = fm.off[:, 0, 0]
-                return _inertia_scalar(kd, ko, fm.mass_diag, fm.mass_off, E + shift)
-            if fm.n == 1 and len(fm.keep0) == 0:
-                # scalar Dirichlet channel: node 0 carries no DOF
-                kd = fm.diag[1:, 0, 0]
-                ko = fm.off[1:, 0, 0]
-                return _inertia_scalar(kd, ko, fm.mass_diag[1:], fm.mass_off[1:],
-                                       E + shift)
-            diags, offs = fm.shifted_blocks(E + shift)
-            return _inertia_blocks(diags, offs)
+            return _inertia_condensed(fm, E + shift)
         except NumericalSingularity:
             # exact tie with a pivot: nudge the shift and retry
             shift = (attempt + 1) * 1e-11 * max(1.0, abs(E))
@@ -361,70 +417,97 @@ def eigenvalue_estimates(fm: FormMatrices, count: int,
     return sorted(out)
 
 
-def count_negative(pair: BoundaryPair, V: MatrixPotential, disc: Discretization,
-                   E: float = 0.0, estimates: bool = True,
-                   fm: FormMatrices | None = None) -> CountReport:
-    """Count generalized eigenvalues below E (E <= 0).
+@dataclass
+class LadderCounts:
+    """Counts below a tuple of shifts on the rungs of a mesh ladder."""
 
-    At E = 0 the count excludes the window (-EPS_NEAR_ZERO, 0): the
-    continuum operator has no zero eigenvalue, so discrete values there
-    are truncation artifacts (they are flagged in the diagnostics).
+    rows: list             # (L, h, count below each shift) per rung run
+    converged: bool        # the last two rungs agree on every count
+    drops: list            # counts that fell between rungs that are not nested
+    fm: FormMatrices       # the last rung's matrices
+
+
+def _nested(coarse: Discretization, fine: Discretization) -> bool:
+    """Whether the coarse P1 space is a subspace of the fine one.
+
+    It is when h_coarse/h_fine is an integer r, so every coarse node is a
+    fine node, and the coarse mesh ends no later than the fine one.
+    """
+    ratio = coarse.h / fine.h
+    r = round(ratio)
+    return r >= 1 and abs(ratio - r) <= 1e-9 * ratio and coarse.m * r <= fine.m
+
+
+def count_ladder(pair: BoundaryPair, V: MatrixPotential, shifts,
+                 ladder=DEFAULT_LADDER,
+                 classification: BoundaryClassification | None = None) -> LadderCounts:
+    """Counts below every shift on each (L, h) rung until two rungs agree.
+
+    Each rung is assembled once and counted at every shift; the ladder
+    stops at the first rung whose counts all equal the previous rung's.
+    By min-max a finer rung counts at least as many states as a coarser
+    rung it nests, so a count that falls between nested rungs raises
+    NumericalSingularity.  (The argument is exact for square wells and
+    holds up to the 2-point Gauss quadrature error for other potentials.)
+    Between rungs that are not nested a fall is recorded in `drops`.
+    """
+    cls = classification if classification is not None else classify(pair)
+    rows, drops = [], []
+    prev = None
+    for (L, h) in ladder:
+        disc = Discretization(L=float(L), h=float(h))
+        fm = assemble_form_matrix(pair, V, disc, classification=cls)
+        counts = tuple(inertia_below(fm, E) for E in shifts)
+        if prev is not None:
+            for E, before, after in zip(shifts, rows[-1][2:], counts):
+                if after >= before:
+                    continue
+                if _nested(prev, disc):
+                    raise NumericalSingularity(
+                        f"count below E = {E} fell from {before} on rung "
+                        f"(L={prev.L}, h={prev.h}) to {after} on the nested finer "
+                        f"rung (L={disc.L}, h={disc.h})")
+                drops.append({"from": [prev.L, prev.h], "to": [disc.L, disc.h],
+                              "E": E, "counts": [before, after]})
+        rows.append((disc.L, disc.h, *counts))
+        prev = disc
+        if len(rows) >= 2 and rows[-1][2:] == rows[-2][2:]:
+            return LadderCounts(rows, True, drops, fm)
+    return LadderCounts(rows, False, drops, fm)
+
+
+def count_negative(pair: BoundaryPair, V: MatrixPotential, disc: Discretization,
+                   E: float = 0.0, estimates: bool = True) -> CountReport:
+    """Count generalized eigenvalues below E (E <= 0) on one mesh.
+
+    The report says `converged=False`: one mesh cannot show that the
+    count has converged (use `converge_count` for a ladder).
     """
     if E > 0:
         raise RegimeViolation(f"shift must be <= 0, got E = {E}")
-    if fm is None:
-        fm = assemble_form_matrix(pair, V, disc)
-    if E == 0.0:
-        count = inertia_below(fm, -EPS_NEAR_ZERO)
-        near_zero = inertia_below(fm, 0.0) - count
-    else:
-        count = inertia_below(fm, E)
-        near_zero = 0
-    eigs = None
-    if estimates:
-        eigs = eigenvalue_estimates(fm, count)
-    return CountReport(
-        count=count,
-        eigenvalues=eigs,
-        converged=True,
-        diagnostics={
-            "ladder": [(disc.L, disc.h, count)],
-            "near_zero": near_zero,
-            "E": E,
-        },
-    )
+    return converge_count(pair, V, ladder=((disc.L, disc.h),), E=E,
+                          estimates=estimates)
 
 
 def converge_count(pair: BoundaryPair, V: MatrixPotential,
                    ladder=DEFAULT_LADDER, E: float = 0.0,
                    estimates: bool = True) -> CountReport:
-    """Run count_negative over a (L, h) ladder until two rungs agree.
+    """Count below E over a (L, h) ladder until two rungs agree.
 
-    Non-convergence is reported in the flag, never raised.
+    At E = 0 the count excludes the window (-EPS_NEAR_ZERO, 0): the
+    continuum operator has no zero eigenvalue, so discrete values there
+    are truncation artifacts (they are flagged in the diagnostics).
+    Non-convergence is reported in the flag, never raised; a count that
+    falls between nested rungs raises (see `count_ladder`).
     """
-    cls = classify(pair)
-    rows = []
-    counts = []
-    last_fm = None
-    for (L, h) in ladder:
-        disc = Discretization(L=float(L), h=float(h))
-        last_fm = assemble_form_matrix(pair, V, disc, classification=cls)
-        if E == 0.0:
-            c = inertia_below(last_fm, -EPS_NEAR_ZERO)
-        else:
-            c = inertia_below(last_fm, E)
-        counts.append(c)
-        rows.append((float(L), float(h), c))
-        if len(counts) >= 2 and counts[-1] == counts[-2]:
-            break
-    converged = len(counts) >= 2 and counts[-1] == counts[-2]
-    near_zero = inertia_below(last_fm, 0.0) - counts[-1] if E == 0.0 else 0
-    eigs = None
-    if estimates:
-        eigs = eigenvalue_estimates(last_fm, counts[-1])
+    lad = count_ladder(pair, V, (-EPS_NEAR_ZERO if E == 0.0 else E,), ladder)
+    count = lad.rows[-1][2]
+    near_zero = inertia_below(lad.fm, 0.0) - count if E == 0.0 else 0
+    eigs = eigenvalue_estimates(lad.fm, count) if estimates else None
     return CountReport(
-        count=counts[-1],
+        count=count,
         eigenvalues=eigs,
-        converged=converged,
-        diagnostics={"ladder": rows, "E": E, "near_zero": near_zero},
+        converged=lad.converged,
+        diagnostics={"ladder": lad.rows, "E": E, "near_zero": near_zero,
+                     "drops": lad.drops},
     )

@@ -23,15 +23,8 @@ from .boundary import BoundaryPair, classify, diagonal_pair, random_pair, valida
 from .bound import bargmann_bound
 from .birman import build_bs, free_count_below
 from .errors import SingularJost
-from .fem import (
-    DEFAULT_LADDER,
-    Discretization,
-    assemble_form_matrix,
-    count_negative,
-    inertia_below,
-    EPS_NEAR_ZERO,
-)
-from .potentials import Bump, MatrixPotential, SquareWell, zero_potential
+from .fem import Discretization, EPS_NEAR_ZERO, count_ladder, count_negative
+from .potentials import Bump, SquareWell, zero_potential
 from .serialize import Instance
 
 PROBE_ENERGY = -0.5
@@ -94,22 +87,6 @@ def _angles_resolvable(thetas: np.ndarray, E: float) -> bool:
     return True
 
 
-def fd_counts_ladder(pair: BoundaryPair, V: MatrixPotential, E: float,
-                     ladder=DEFAULT_LADDER):
-    """Counts below 0 and below E over the mesh ladder; stops when both stabilize."""
-    cls = classify(pair)
-    rows = []
-    for (L, h) in ladder:
-        fm = assemble_form_matrix(pair, V, Discretization(L=L, h=h),
-                                  classification=cls)
-        c0 = inertia_below(fm, -EPS_NEAR_ZERO)
-        cE = inertia_below(fm, E)
-        rows.append((L, h, c0, cE))
-        if len(rows) >= 2 and rows[-1][2:] == rows[-2][2:]:
-            return c0, cE, True, rows
-    return rows[-1][2], rows[-1][3], False, rows
-
-
 def run_trial(seed: int, trial: int, n_max: int, E: float = PROBE_ENERGY) -> dict:
     """One verification trial; re-draws until the guards pass."""
     redraws = 0
@@ -138,10 +115,11 @@ def run_trial(seed: int, trial: int, n_max: int, E: float = PROBE_ENERGY) -> dic
             continue
         bs_E = int(np.count_nonzero(rhos > 1.0)) + free_count_below(cls, E)
 
-        fd_0, fd_E, converged, ladder_rows = fd_counts_ladder(pair, V, E)
-        if not converged:
+        ladder = count_ladder(pair, V, (-EPS_NEAR_ZERO, E), classification=cls)
+        if not ladder.converged:
             redraws += 1
             continue
+        fd_0, fd_E = ladder.rows[-1][2:]
 
         bound = bargmann_bound(pair, V, classification=cls)
         inst = Instance(pair, V, {"trial": trial, "attempt": attempt})
@@ -157,7 +135,7 @@ def run_trial(seed: int, trial: int, n_max: int, E: float = PROBE_ENERGY) -> dic
             "bs_count_at_probe": bs_E,
             "margin": bound.total - fd_0,
             "redraws": redraws,
-            "ladder": [list(r) for r in ladder_rows],
+            "ladder": [list(r) for r in ladder.rows],
             "instance": inst.to_json(),
         }
     raise RuntimeError(f"trial {trial}: guards rejected {MAX_REDRAWS} draws")

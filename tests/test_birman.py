@@ -26,7 +26,7 @@ from halfline.errors import (
     RegimeViolation,
     SingularJost,
 )
-from halfline.harness import fd_counts_ladder
+from halfline.fem import EPS_NEAR_ZERO, count_ladder
 
 PI = np.pi
 
@@ -98,8 +98,8 @@ def test_deep_well_counts_match_matching_oracle():
 def test_shallow_well_agrees_with_fd():
     V = SquareWell(np.array([[-2.0]]), 0.0, 1.0)
     assert bs_count(dirichlet(), V, E=-1e-3) == 0
-    c0, cE, converged, _ = fd_counts_ladder(dirichlet(), V, -1e-3)
-    assert converged and cE == 0
+    ladder = count_ladder(dirichlet(), V, (-EPS_NEAR_ZERO, -1e-3))
+    assert ladder.converged and ladder.rows[-1][3] == 0
 
 
 def test_trace_dominates_crossing_count():
@@ -181,6 +181,6 @@ def test_cross_oracle_seed11_instance():
     rhos = bsm.eigenvalues()
     assert np.min(np.abs(rhos - 1.0)) > 1e-6
     bs = int(np.count_nonzero(rhos > 1.0)) + free_count_below(classify(pair), E)
-    c0, cE, converged, _ = fd_counts_ladder(pair, V, E)
-    assert converged
-    assert bs == cE == 1
+    ladder = count_ladder(pair, V, (-EPS_NEAR_ZERO, E))
+    assert ladder.converged
+    assert bs == ladder.rows[-1][3] == 1

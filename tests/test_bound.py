@@ -16,7 +16,7 @@ from halfline import (
     validate_pair,
     zero_potential,
 )
-from halfline.errors import RegimeViolation
+from halfline.errors import NumericalSingularity, RegimeViolation
 
 PI = np.pi
 
@@ -159,3 +159,18 @@ def test_total_nonnegative_on_random_ensemble():
         assert res.integral >= 0.0
         assert res.total >= 0.0
         assert res.integer_bound == int(np.floor(res.total + 1e-12))
+
+
+def test_negative_integral_raises_instead_of_clamping(monkeypatch):
+    # V₋ ⪰ 0 and xI - W ⪰ 0 make the integrand >= 0; fabricate a split
+    # that returns -V₋ so the integral comes out negative
+    import halfline.bound as bound_mod
+    real_split = bound_mod.split
+
+    def flipped(V, x):
+        plus, minus, root = real_split(V, x)
+        return plus, -minus, root
+
+    monkeypatch.setattr(bound_mod, "split", flipped)
+    with pytest.raises(NumericalSingularity, match="negative"):
+        bargmann_bound(dirichlet(), SquareWell(np.array([[-2.0]]), 0.0, 1.0))

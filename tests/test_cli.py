@@ -99,6 +99,7 @@ def test_cli_count_and_ladder(tmp_path, capsys):
     assert main(["count", "--input", path, "--length", "40", "--h", "0.02"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["count"] == 0
+    assert report["converged"] is False   # one mesh cannot show convergence
     rc = main(["count", "--input", path, "--ladder", "--format", "csv"])
     assert rc == EXIT_OK
     out = capsys.readouterr().out

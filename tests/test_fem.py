@@ -9,6 +9,8 @@ from halfline import (
     Bump,
     Conjugated,
     Discretization,
+    Exponential,
+    Sampled,
     SquareWell,
     assemble_form_matrix,
     bargmann_bound,
@@ -20,8 +22,15 @@ from halfline import (
     validate_pair,
     zero_potential,
 )
-from halfline.errors import MeshTooCoarse, RegimeViolation
-from halfline.fem import inertia_below
+import halfline.fem as fem
+from halfline.errors import MeshTooCoarse, NumericalSingularity, RegimeViolation
+from halfline.fem import (
+    EPS_NEAR_ZERO,
+    _spectrum_floor,
+    _tail_schur,
+    count_ladder,
+    inertia_below,
+)
 
 PI = np.pi
 
@@ -226,3 +235,131 @@ def test_well_edges_off_mesh_converge():
     rep = converge_count(dirichlet(), V, estimates=False)
     assert rep.converged
     assert rep.count <= bargmann_bound(dirichlet(), V).total
+
+
+def full_mesh_inertia(fm, E):
+    """Block LDL over every node of the mesh: the oracle for the tail condensation."""
+    n, keep = fm.n, fm.keep0
+    eye = np.eye(n)
+    count = 0
+    D = (fm.diag[0] - E * fm.mass_diag[0] * eye)[np.ix_(keep, keep)]
+    for i in range(fm.m):
+        count += int(np.count_nonzero(np.linalg.eigvalsh(D) < 0))
+        if i + 1 < fm.m:
+            B = fm.off[i] - E * fm.mass_off[i] * eye
+            if i == 0:
+                B = B[keep, :]
+            D = (fm.diag[i + 1] - E * fm.mass_diag[i + 1] * eye
+                 - B.conj().T @ np.linalg.solve(D, B))
+    return count
+
+
+def _condensation_cases():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 4):
+        W = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
+        S = -2.0 * (W.conj().T @ W)
+        profile = np.sin(np.linspace(0.0, 3.0, 7))
+        potentials = {
+            "well_edge_in_element": SquareWell(S, 1 / 3, 1 / 3 + 1.37),
+            "exp": Exponential(S, 3.0),
+            "exp_past_L": Exponential(S, 1.0),   # cut-off beyond L: empty tail
+            "sampled": Sampled(np.linspace(0.2, 3.1, 7), profile[:, None, None] * S),
+            "bump": Bump(S, 0.3, 2.0),
+            "zero": zero_potential(n),
+        }
+        pairs = {"random": random_pair(n, seed=40 + n),
+                 "all_dirichlet": diagonal_pair([PI] * n)}
+        if n > 1:
+            pairs["partial_dirichlet"] = diagonal_pair([PI] * (n - 1) + [2.0])
+        for pname, pair in pairs.items():
+            for vname, V in potentials.items():
+                yield pytest.param(pair, V, id=f"n{n}-{pname}-{vname}")
+
+
+@pytest.mark.parametrize("pair,V", list(_condensation_cases()))
+def test_condensed_inertia_matches_dense_and_full_mesh(pair, V):
+    fm = assemble_form_matrix(pair, V, Discretization(12.0, 0.1))
+    assert 1 <= fm.tail_start <= fm.m
+    K, M = fm.to_sparse()
+    dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    for E in (0.0, -EPS_NEAR_ZERO, -0.5, _spectrum_floor(fm)):
+        expected = int(np.count_nonzero(dense < E))
+        assert full_mesh_inertia(fm, E) == expected
+        assert inertia_below(fm, E) == expected
+
+
+def test_condensed_inertia_matches_full_mesh_on_a_long_tail():
+    pair = random_pair(3, seed=8)
+    V = Bump(amplitude=-3.0 * np.eye(3), a=0.5, b=2.5)
+    fm = assemble_form_matrix(pair, V, Discretization(40.0, 0.02))
+    assert fm.m - fm.tail_start > 1800
+    for E in (0.0, -EPS_NEAR_ZERO, -0.5, -2.0):
+        assert inertia_below(fm, E) == full_mesh_inertia(fm, E)
+
+
+def test_tail_start_marks_the_free_pattern():
+    fm = assemble_form_matrix(dirichlet(), zero_potential(1), Discretization(12.0, 0.1))
+    assert fm.tail_start == 1
+    fm = assemble_form_matrix(neumann(), SquareWell(np.array([[-1.0]]), 1.0, 2.05),
+                              Discretization(12.0, 0.1))
+    h = fm.disc.h
+    free_diag, free_off = 2.0 / h, -1.0 / h
+    j0 = fm.tail_start
+    assert np.all(fm.diag[j0:] == free_diag) and np.all(fm.off[j0 - 1:] == free_off)
+    # the node before the tail feels the well, which ends inside element 20
+    assert j0 == 22 and fm.diag[j0 - 1, 0, 0] != free_diag
+
+
+def backward_tail_schur(h, E, T):
+    """b²/d_T by the explicit backward LDL recursion over the T tail nodes."""
+    a = 2.0 / h - (2.0 * h / 3.0) * E
+    b = -1.0 / h - (h / 6.0) * E
+    d = a
+    for _ in range(T - 1):
+        d = a - b * b / d
+    return b * b / d
+
+
+@pytest.mark.parametrize("T", [1, 2, 10**3, 10**5])
+@pytest.mark.parametrize("E", [0.0, -EPS_NEAR_ZERO, -0.5, -30.0, -1e5])
+def test_tail_schur_closed_form_matches_backward_recursion(T, E):
+    # E = 0 is the δ = 0 limit; E = -1e5 < -6/h² makes b positive
+    h = 0.01
+    assert _tail_schur(h, E, T) == pytest.approx(backward_tail_schur(h, E, T),
+                                                 rel=1e-9)
+
+
+def test_tail_schur_edge_cases():
+    h = 0.01
+    assert _tail_schur(h, -0.5, 0) == 0.0
+    assert _tail_schur(h, -6.0 / h**2, 50) == pytest.approx(0.0, abs=1e-6)
+    assert _tail_schur(h, 1e-3, 50) is None   # E > 0: indefinite tail
+
+
+def test_count_negative_single_rung_is_not_converged():
+    rep = count_negative(dirichlet(), SquareWell(np.array([[-25.0]]), 0.0, 1.0),
+                         Discretization(40.0, 0.02), estimates=False)
+    assert rep.count == 2 and rep.converged is False
+    assert rep.diagnostics["ladder"] == [(40.0, 0.02, 2)]
+
+
+def _fabricated_counts(monkeypatch, by_h):
+    monkeypatch.setattr(fem, "inertia_below", lambda fm, E: by_h[fm.disc.h])
+
+
+def test_count_drop_on_nested_ladder_raises(monkeypatch):
+    _fabricated_counts(monkeypatch, {0.02: 3, 0.01: 2})
+    with pytest.raises(NumericalSingularity, match=r"L=40.0, h=0.02.*L=80.0, h=0.01"):
+        count_ladder(dirichlet(), zero_potential(1), (-0.5,),
+                     ladder=((40.0, 0.02), (80.0, 0.01)))
+
+
+def test_count_drop_on_non_nested_ladder_is_recorded(monkeypatch):
+    _fabricated_counts(monkeypatch, {0.02: 3, 0.015: 2})
+    rep = converge_count(dirichlet(), zero_potential(1), E=-0.5, estimates=False,
+                         ladder=((40.0, 0.02), (40.0, 0.015)))
+    assert rep.count == 2 and not rep.converged
+    assert rep.diagnostics["drops"] == [
+        {"from": [40.0, 0.02], "to": [40.0, 0.015], "E": -0.5, "counts": [3, 2]}
+    ]
